@@ -153,7 +153,7 @@ func dumpMemSSA(prog *ir.Program, mem *memssa.Info) {
 		}
 		fmt.Printf("func %s: in=%v out=%v\n", fn.Name, fi.InVars, fi.OutVars)
 		for _, b := range fn.Blocks {
-			for _, phi := range fi.Phis[b] {
+			for _, phi := range fi.Phis[b.ID] {
 				fmt.Printf("  %s: %s = memphi(", b, phi)
 				for i, a := range phi.PhiArgs {
 					if i > 0 {

@@ -199,10 +199,16 @@ func table1Row(c *Compiled, sc *stats.Collector) (Table1Row, error) {
 	// single-target weak update.
 	g := an.Graph
 	storeKind := make(map[ir.Instr]vfg.UpdateKind)
-	for chi, kind := range g.StoreUpdates {
-		prev, seen := storeKind[chi.Instr]
-		if !seen || kind < prev {
-			storeKind[chi.Instr] = kind
+	for _, fm := range g.Mem.Funcs {
+		for _, chi := range fm.AllDefs {
+			kind, ok := g.StoreUpdate(chi)
+			if !ok {
+				continue
+			}
+			prev, seen := storeKind[chi.Instr]
+			if !seen || kind < prev {
+				storeKind[chi.Instr] = kind
+			}
 		}
 	}
 	var stores, su, wu int

@@ -7,49 +7,60 @@ package cfg
 
 import "github.com/valueflow/usher/internal/ir"
 
-// DomTree is the dominator tree of a function.
+// DomTree is the dominator tree of a function. Its per-block tables are
+// slices indexed by Block.ID; blocks[id] guards them against blocks of
+// other functions.
 type DomTree struct {
 	fn *ir.Function
 	// rpo[i] is the i-th block in reverse postorder; rpoNum is its index.
 	rpo    []*ir.Block
-	rpoNum map[*ir.Block]int
-	idom   map[*ir.Block]*ir.Block
+	blocks []*ir.Block
+	rpoNum []int32
+	idom   []*ir.Block
 	// children of each block in the dominator tree.
-	kids map[*ir.Block][]*ir.Block
+	kids [][]*ir.Block
 	// dfs pre/post numbering of the dominator tree for O(1) dominance
-	// queries.
-	pre, post map[*ir.Block]int
+	// queries; 0 marks blocks outside the tree (unreachable).
+	pre, post []int32
 }
 
 // NewDomTree computes the dominator tree of fn using the iterative
 // algorithm of Cooper, Harvey and Kennedy. Unreachable blocks are ignored.
 func NewDomTree(fn *ir.Function) *DomTree {
-	d := &DomTree{
-		fn:     fn,
-		rpoNum: make(map[*ir.Block]int),
-		idom:   make(map[*ir.Block]*ir.Block),
-		kids:   make(map[*ir.Block][]*ir.Block),
-		pre:    make(map[*ir.Block]int),
-		post:   make(map[*ir.Block]int),
-	}
+	d := &DomTree{fn: fn}
 	entry := fn.Entry()
 	if entry == nil {
 		return d
 	}
 	d.rpo = ReversePostorder(fn)
+	n := 0
+	for _, bs := range [][]*ir.Block{fn.Blocks, d.rpo} {
+		for _, b := range bs {
+			if b.ID >= n {
+				n = b.ID + 1
+			}
+		}
+	}
+	d.blocks = make([]*ir.Block, n)
+	d.rpoNum = make([]int32, n)
+	d.idom = make([]*ir.Block, n)
+	d.kids = make([][]*ir.Block, n)
+	d.pre = make([]int32, n)
+	d.post = make([]int32, n)
 	for i, b := range d.rpo {
-		d.rpoNum[b] = i
+		d.blocks[b.ID] = b
+		d.rpoNum[b.ID] = int32(i)
 	}
 
-	d.idom[entry] = entry
+	d.idom[entry.ID] = entry
 	changed := true
 	for changed {
 		changed = false
 		for _, b := range d.rpo[1:] {
 			var newIdom *ir.Block
 			for _, p := range b.Preds {
-				if _, processed := d.idom[p]; !processed {
-					continue
+				if d.index(p) < 0 || d.idom[p.ID] == nil {
+					continue // unreachable or not yet processed
 				}
 				if newIdom == nil {
 					newIdom = p
@@ -57,66 +68,81 @@ func NewDomTree(fn *ir.Function) *DomTree {
 					newIdom = d.intersect(p, newIdom)
 				}
 			}
-			if newIdom != nil && d.idom[b] != newIdom {
-				d.idom[b] = newIdom
+			if newIdom != nil && d.idom[b.ID] != newIdom {
+				d.idom[b.ID] = newIdom
 				changed = true
 			}
 		}
 	}
 	for _, b := range d.rpo {
 		if b != entry {
-			d.kids[d.idom[b]] = append(d.kids[d.idom[b]], b)
+			p := d.idom[b.ID].ID
+			d.kids[p] = append(d.kids[p], b)
 		}
 	}
 	// DFS numbering for dominance queries.
-	clock := 0
+	clock := int32(0)
 	var dfs func(b *ir.Block)
 	dfs = func(b *ir.Block) {
 		clock++
-		d.pre[b] = clock
-		for _, k := range d.kids[b] {
+		d.pre[b.ID] = clock
+		for _, k := range d.kids[b.ID] {
 			dfs(k)
 		}
 		clock++
-		d.post[b] = clock
+		d.post[b.ID] = clock
 	}
 	dfs(entry)
 	return d
 }
 
+// index returns b's table index, or -1 if b is not a block of the tree.
+func (d *DomTree) index(b *ir.Block) int {
+	if b == nil || b.ID < 0 || b.ID >= len(d.blocks) || d.blocks[b.ID] != b {
+		return -1
+	}
+	return b.ID
+}
+
 func (d *DomTree) intersect(b1, b2 *ir.Block) *ir.Block {
 	f1, f2 := b1, b2
 	for f1 != f2 {
-		for d.rpoNum[f1] > d.rpoNum[f2] {
-			f1 = d.idom[f1]
+		for d.rpoNum[f1.ID] > d.rpoNum[f2.ID] {
+			f1 = d.idom[f1.ID]
 		}
-		for d.rpoNum[f2] > d.rpoNum[f1] {
-			f2 = d.idom[f2]
+		for d.rpoNum[f2.ID] > d.rpoNum[f1.ID] {
+			f2 = d.idom[f2.ID]
 		}
 	}
 	return f1
 }
 
 // Idom returns the immediate dominator of b (the entry's idom is itself).
-func (d *DomTree) Idom(b *ir.Block) *ir.Block { return d.idom[b] }
+func (d *DomTree) Idom(b *ir.Block) *ir.Block {
+	if i := d.index(b); i >= 0 {
+		return d.idom[i]
+	}
+	return nil
+}
 
 // Children returns b's children in the dominator tree.
-func (d *DomTree) Children(b *ir.Block) []*ir.Block { return d.kids[b] }
+func (d *DomTree) Children(b *ir.Block) []*ir.Block {
+	if i := d.index(b); i >= 0 {
+		return d.kids[i]
+	}
+	return nil
+}
 
 // RPO returns the blocks in reverse postorder.
 func (d *DomTree) RPO() []*ir.Block { return d.rpo }
 
 // Dominates reports whether a dominates b (reflexively).
 func (d *DomTree) Dominates(a, b *ir.Block) bool {
-	pa, ok := d.pre[a]
-	if !ok {
+	ia, ib := d.index(a), d.index(b)
+	if ia < 0 || ib < 0 {
 		return false
 	}
-	pb, ok := d.pre[b]
-	if !ok {
-		return false
-	}
-	return pa <= pb && d.post[b] <= d.post[a]
+	return d.pre[ia] <= d.pre[ib] && d.post[ib] <= d.post[ia]
 }
 
 // InstrDominates reports whether instruction a dominates instruction b:
@@ -173,11 +199,11 @@ func DominanceFrontiers(d *DomTree) map[*ir.Block][]*ir.Block {
 		}
 		for _, p := range b.Preds {
 			runner := p
-			for runner != nil && runner != d.idom[b] {
+			for runner != nil && runner != d.Idom(b) {
 				if !containsBlock(df[runner], b) {
 					df[runner] = append(df[runner], b)
 				}
-				next := d.idom[runner]
+				next := d.Idom(runner)
 				if next == runner { // entry
 					break
 				}

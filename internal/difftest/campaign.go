@@ -61,8 +61,8 @@ type Report struct {
 	Seeds         int64            `json:"seeds"`
 	Generator     randprog.Options `json:"generator"`
 	// Checked counts seeds actually compared; Divergent counts findings.
-	Checked   int64     `json:"checked"`
-	Divergent int       `json:"divergent"`
+	Checked   int64 `json:"checked"`
+	Divergent int   `json:"divergent"`
 	// Mutants counts mutated programs replayed (mutation campaigns only).
 	Mutants  int64     `json:"mutants,omitempty"`
 	Findings []Finding `json:"findings,omitempty"`

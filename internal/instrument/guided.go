@@ -86,7 +86,7 @@ func Emit(name string, g *vfg.Graph, gm *vfg.Gamma, redirected int, opts GuidedO
 		gm:       gm,
 		plan:     plan,
 		opts:     opts,
-		demanded: make(map[int]bool),
+		demanded: make([]bool, len(g.Nodes)),
 		memsets:  make(map[ir.Instr]bool),
 		mfcCache: make(map[*ir.Register]*vfgopt.MFC),
 	}
@@ -97,7 +97,7 @@ func Emit(name string, g *vfg.Graph, gm *vfg.Gamma, redirected int, opts GuidedO
 	in.run()
 	res.MFCsSimplified = in.mfcSimplified
 	res.ChecksElided = in.checksElided
-	res.Demanded = len(in.demanded)
+	res.Demanded = in.numDemanded
 	return res
 }
 
@@ -107,8 +107,10 @@ type instrumenter struct {
 	plan *Plan
 	opts GuidedOptions
 
-	demanded map[int]bool
-	work     []*vfg.Node
+	// demanded[id] marks the VFG nodes that required tracking.
+	demanded    []bool
+	numDemanded int
+	work        []*vfg.Node
 	// memsets dedups MemSet items per allocation/store instruction.
 	memsets       map[ir.Instr]bool
 	mfcCache      map[*ir.Register]*vfgopt.MFC
@@ -124,6 +126,7 @@ func (in *instrumenter) demand(n *vfg.Node) {
 		return
 	}
 	in.demanded[n.ID] = true
+	in.numDemanded++
 	in.work = append(in.work, n)
 }
 
@@ -334,7 +337,7 @@ func (in *instrumenter) processTop(n *vfg.Node) {
 			// [⊤-Alloc]: σ(*x) := T, once per allocation site.
 			in.memSet(instr, MemSetT)
 		case *ir.Store:
-			if in.g.StoreUpdates[d] == vfg.UpdateStrong {
+			if kind, _ := in.g.StoreUpdate(d); kind == vfg.UpdateStrong {
 				// [⊤-Store_SU]: σ(*x) := T.
 				in.memSet(instr, MemSetT)
 				return

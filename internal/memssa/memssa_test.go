@@ -295,9 +295,18 @@ int main() { return bump(); }`)
 	fi := info.Funcs[bump]
 	gObj := irp.Globals[0]
 	count := 0
-	for _, vers := range fi.RetVersions {
-		d, ok := vers[memssa.MemVar{Obj: gObj, Field: 0}]
-		if !ok {
+	gIdx := -1
+	for i, v := range fi.OutVars {
+		if v == (memssa.MemVar{Obj: gObj, Field: 0}) {
+			gIdx = i
+		}
+	}
+	if gIdx < 0 {
+		t.Fatalf("g not among bump's OutVars: %v", fi.OutVars)
+	}
+	for _, vers := range fi.Rets {
+		d := vers.Out[gIdx]
+		if d == nil {
 			t.Error("ret versions missing g")
 			continue
 		}
@@ -308,5 +317,42 @@ int main() { return bump(); }`)
 	}
 	if count == 0 {
 		t.Error("no ret versions recorded")
+	}
+}
+
+// TestDefIDsDense checks that Def ids are exactly 0..NumDefs-1 in
+// creation order: functions in program order, each function's defs in
+// AllDefs order. Downstream tables (the VFG's memory-node index) are
+// sized by NumDefs and indexed by id.
+func TestDefIDsDense(t *testing.T) {
+	irp, info := build(t, `
+int g;
+int h[4];
+int bump(int *p) { *p = *p + g; g = g + 1; return *p; }
+int main(int c) {
+  int a = 0;
+  int i;
+  for (i = 0; i < 4; i = i + 1) { h[i] = bump(&a); }
+  if (c) { a = h[1]; }
+  return bump(&a);
+}`)
+	next := int32(0)
+	for _, fn := range irp.Funcs {
+		fi := info.Funcs[fn]
+		if fi == nil {
+			continue
+		}
+		for _, d := range fi.AllDefs {
+			if d.ID != next {
+				t.Fatalf("%s: def %v has id %d, want %d", fn.Name, d, d.ID, next)
+			}
+			next++
+		}
+	}
+	if int(next) != info.NumDefs {
+		t.Fatalf("saw %d defs, NumDefs = %d", next, info.NumDefs)
+	}
+	if next == 0 {
+		t.Fatal("no defs built")
 	}
 }

@@ -577,11 +577,11 @@ func (st *Store) OptII() (*OptIIResult, error) {
 		// Opt IV routes the re-resolution through a cut-aware summary
 		// build: the cached cut-free summary cannot serve a cut (an edge
 		// removed inside a condensed region must split the region).
-		resolve := func(cut func(from, to *vfg.Node) bool) *vfg.Gamma {
+		resolve := func(cuts *vfg.CutSet) *vfg.Gamma {
 			if vfgsum.Enabled {
-				return vfgsum.ResolveCut(g, cut)
+				return vfgsum.ResolveCut(g, cuts.Has)
 			}
-			return vfg.ResolveCut(g, cut)
+			return vfg.ResolveWith(g, vfg.ResolveOptions{Cuts: cuts})
 		}
 		g2, redirected := vfgopt.RedundantCheckElimWith(g, gm, resolve)
 		return &OptIIResult{Gamma: g2, Redirected: redirected},

@@ -102,3 +102,45 @@ func TestResolveCutEquivalenceRandom(t *testing.T) {
 		}
 	}
 }
+
+// TestCutSetForms checks that a CutSet resolves identically in its two
+// forms: as bits over user-edge slots (dense resolution) and as the Has
+// predicate (the form the summary resolver takes), and that both equal
+// a plain predicate over the same pairs. The pairs include duplicates;
+// cutting a pair cuts every parallel edge between its nodes.
+func TestCutSetForms(t *testing.T) {
+	for _, name := range []string{"gzip", "ammp"} {
+		p, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("no workload %s", name)
+		}
+		g := buildGraph(t, workload.Generate(p))
+		for _, k := range []int{2, 5, 11} {
+			var pairs [][2]int32
+			want := make(map[[2]int]bool)
+			for _, n := range g.Nodes {
+				for i, e := range n.Deps {
+					if (n.ID+i)%k == 0 {
+						pairs = append(pairs, [2]int32{int32(n.ID), int32(e.To.ID)}, [2]int32{int32(n.ID), int32(e.To.ID)})
+						want[[2]int{n.ID, e.To.ID}] = true
+					}
+				}
+			}
+			cs := vfg.NewCutSet(g, pairs)
+			if cs.Len() != len(want) {
+				t.Fatalf("%s k=%d: %d distinct pairs, want %d", name, k, cs.Len(), len(want))
+			}
+			bySlots := vfg.ResolveWith(g, vfg.ResolveOptions{Cuts: cs})
+			byHas := vfg.ResolveCut(g, cs.Has)
+			byPred := vfg.ResolveCut(g, func(from, to *vfg.Node) bool { return want[[2]int{from.ID, to.ID}] })
+			bySum := vfgsum.ResolveCut(g, cs.Has)
+			for _, n := range g.Nodes {
+				s := bySlots.Of(n)
+				if byHas.Of(n) != s || byPred.Of(n) != s || bySum.Of(n) != s {
+					t.Fatalf("%s k=%d: node %v: slots %v, Has %v, predicate %v, summary %v",
+						name, k, n, s, byHas.Of(n), byPred.Of(n), bySum.Of(n))
+				}
+			}
+		}
+	}
+}

@@ -17,7 +17,7 @@ type Equivalence struct {
 	rep []int // node id -> representative node id
 	// classUsers[repID] is the union of the user edges of every class
 	// member (targets not remapped; push remaps).
-	classUsers map[int][]Edge
+	classUsers [][]Edge
 	classes    int
 }
 
@@ -36,7 +36,7 @@ func (eq *Equivalence) Merged(g *Graph) int { return len(g.Nodes) - eq.classes }
 func ComputeAccessEquivalence(g *Graph) *Equivalence {
 	eq := &Equivalence{
 		rep:        make([]int, len(g.Nodes)),
-		classUsers: make(map[int][]Edge),
+		classUsers: make([][]Edge, len(g.Nodes)),
 	}
 	byKey := make(map[string]int)
 	// Call-site identities must be global: instruction labels are only

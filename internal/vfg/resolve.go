@@ -1,6 +1,8 @@
 package vfg
 
 import (
+	"slices"
+
 	"github.com/valueflow/usher/internal/bitset"
 	"github.com/valueflow/usher/internal/ir"
 )
@@ -52,10 +54,8 @@ func (gm *Gamma) Of(n *Node) State {
 // OfValue returns the state of an operand: constants and addresses are ⊤.
 func (gm *Gamma) OfValue(v ir.Value) State {
 	if r, ok := v.(*ir.Register); ok {
-		if n, ok := gm.g.regNodes[r]; ok {
-			return gm.Of(n)
-		}
-		return Bottom // unmodelled register: be conservative
+		// An unmodelled register (nil node) is conservatively ⊥.
+		return gm.Of(gm.g.RegNode(r))
 	}
 	return Top
 }
@@ -102,6 +102,9 @@ func (gm *Gamma) BottomCount() int {
 // entered the current function, or unknown (the widened top context).
 const ctxUnknown = 0
 
+// ctxChunkRows is the number of per-node context rows allocated at once.
+const ctxChunkRows = 256
+
 // ResolveOptions tunes definedness resolution.
 type ResolveOptions struct {
 	// ContextInsensitive disables call/return edge matching (ablation of
@@ -116,6 +119,10 @@ type ResolveOptions struct {
 	// returns true is treated as replaced by from → T (Opt II's
 	// Algorithm 1 rewiring).
 	Cut func(from, to *Node) bool
+	// Cuts is Cut as a precomputed edge set (see NewCutSet): resolution
+	// tests one bit per traversed edge instead of calling a predicate.
+	// Cut and Cuts compose: an edge is cut if either cuts it.
+	Cuts *CutSet
 }
 
 // Resolve computes Γ by forward reachability from the F root along user
@@ -135,12 +142,14 @@ func ResolveCut(g *Graph, cut func(from, to *Node) bool) *Gamma {
 // The propagation state is kept in dense bit sets rather than per-node
 // maps: the ⊥ frontier is one bit per node, the visited-in-unknown-context
 // set is one bit per node, and the visited-in-specific-context sets are
-// per-node context bit vectors allocated only for nodes that are ever
-// reached under a specific call-site context. Resolution performs no
-// allocation proportional to the number of (node, context) visits and
-// never mutates the graph, so it may run concurrently over a shared graph.
+// per-node rows of context bits, allocated only for nodes that are ever
+// reached under a specific call-site context. Contexts are the site ids
+// stamped on the edges, so no traversed edge costs a map probe.
+// Resolution performs no allocation proportional to the number of (node,
+// context) visits and never mutates the graph, so it may run concurrently
+// over a shared graph.
 func ResolveWith(g *Graph, opts ResolveOptions) *Gamma {
-	cut := opts.Cut
+	cut, cuts := opts.Cut, opts.Cuts
 	nn := len(g.Nodes)
 	gm := &Gamma{g: g, n: nn, bottom: bitset.New(nn)}
 
@@ -148,69 +157,73 @@ func ResolveWith(g *Graph, opts ResolveOptions) *Gamma {
 	// Edge cuts key on individual nodes, so merging is disabled under
 	// them (Opt II re-resolution).
 	var eq *Equivalence
-	rep := func(n *Node) *Node { return n }
-	usersOf := func(n *Node) []Edge { return n.Users }
-	if opts.MergeEquivalent && cut == nil {
+	if opts.MergeEquivalent && cut == nil && cuts == nil {
 		eq = ComputeAccessEquivalence(g)
 		gm.eq = eq
-		rep = func(n *Node) *Node { return g.Nodes[eq.Rep(n.ID)] }
-		usersOf = func(n *Node) []Edge { return eq.classUsers[n.ID] }
 	}
 
 	// Context ids: 0 = unknown, otherwise the graph's dense call-site id.
-	siteIDs, numSites := g.Sites()
-	numCtx := numSites + 1
+	numCtx := g.numSites + 1
 
 	type state struct {
-		node *Node
-		ctx  int
+		node int32
+		ctx  int32
 	}
-	// Visited sets: ctxUnknown subsumes every specific context. Reads on
-	// nil per-node context sets are fine (a nil *bitset.Set is empty).
+	// Visited sets: ctxUnknown subsumes every specific context. A node's
+	// specific contexts are a row of wpn words, allocated on its first
+	// specific-context visit from chunks of ctxChunkRows rows, so rows are
+	// never copied as they accumulate; ctxRow[id] is 1 + the node's row
+	// number, 0 for none.
 	visitedUnknown := bitset.New(nn)
-	visitedCtx := make([]*bitset.Set, nn)
-	seen := func(n *Node, ctx int) bool {
-		if visitedUnknown.Has(n.ID) {
-			return true
+	wpn := (numCtx + 63) >> 6
+	ctxRow := make([]int32, nn)
+	var ctxChunks [][]uint64
+	rows := 0
+	var work []state
+	push := func(n *Node, ctx int32) {
+		if n == g.RootT || n == g.RootF {
+			return
 		}
-		if ctx == ctxUnknown {
-			return false
+		id := n.ID
+		if eq != nil {
+			id = eq.rep[id]
 		}
-		return visitedCtx[n.ID].Has(ctx)
-	}
-	mark := func(n *Node, ctx int) {
+		if visitedUnknown.Has(id) {
+			return
+		}
 		if ctx == ctxUnknown {
 			// Widen: unknown subsumes all specific contexts.
-			visitedUnknown.Add(n.ID)
-			visitedCtx[n.ID] = nil
+			visitedUnknown.Add(id)
 		} else {
-			b := visitedCtx[n.ID]
-			if b == nil {
-				b = bitset.New(numCtx)
-				visitedCtx[n.ID] = b
+			row := int(ctxRow[id]) - 1
+			if row < 0 {
+				row = rows
+				rows++
+				ctxRow[id] = int32(rows)
+				if row%ctxChunkRows == 0 {
+					ctxChunks = append(ctxChunks, make([]uint64, ctxChunkRows*wpn))
+				}
 			}
-			b.Add(ctx)
+			chunk := ctxChunks[row/ctxChunkRows]
+			w := &chunk[(row%ctxChunkRows)*wpn+int(ctx>>6)]
+			mask := uint64(1) << (ctx & 63)
+			if *w&mask != 0 {
+				return
+			}
+			*w |= mask
 		}
-		gm.bottom.Add(n.ID)
+		gm.bottom.Add(id)
+		work = append(work, state{int32(id), ctx})
+	}
+	cutAt := func(slot int32, from, to *Node) bool {
+		return (cuts != nil && cuts.slots.Has(int(slot))) || (cut != nil && cut(from, to))
 	}
 
-	var work []state
-	push := func(n *Node, ctx int) {
-		if n.Kind == NodeRootT || n.Kind == NodeRootF {
-			return
-		}
-		n = rep(n)
-		if seen(n, ctx) {
-			return
-		}
-		mark(n, ctx)
-		work = append(work, state{n, ctx})
-	}
-
-	for _, e := range g.RootF.Users {
+	rootF := g.RootF
+	for k, e := range rootF.Users {
 		// Flows start where an undefined value is born; the birth context
 		// is unknown (it can leave its function through any return).
-		if cut != nil && cut(e.To, g.RootF) {
+		if cutAt(g.userOff[rootF.ID]+int32(k), e.To, rootF) {
 			continue
 		}
 		push(e.To, ctxUnknown)
@@ -218,10 +231,18 @@ func ResolveWith(g *Graph, opts ResolveOptions) *Gamma {
 	for len(work) > 0 {
 		s := work[len(work)-1]
 		work = work[:len(work)-1]
-		for _, e := range usersOf(s.node) {
+		var users []Edge
+		if eq != nil {
+			users = eq.classUsers[s.node]
+		} else {
+			users = g.users[g.userOff[s.node]:g.userOff[s.node+1]]
+		}
+		base := g.userOff[s.node]
+		for k := range users {
+			e := &users[k]
 			// A user edge from s.node to e.To corresponds to the
 			// dependence edge e.To → s.node.
-			if cut != nil && cut(e.To, s.node) {
+			if (cuts != nil || cut != nil) && cutAt(base+int32(k), e.To, g.Nodes[s.node]) {
 				continue
 			}
 			kind := e.Kind
@@ -233,17 +254,71 @@ func ResolveWith(g *Graph, opts ResolveOptions) *Gamma {
 				push(e.To, s.ctx)
 			case EdgeCall:
 				// Entering the callee at e.Site: remember it (1 level).
-				push(e.To, siteIDs[e.Site])
+				push(e.To, e.SiteID)
 			case EdgeRet:
 				// Leaving the callee towards e.Site: allowed if we entered
 				// there, or if the entry site is unknown.
-				if s.ctx == ctxUnknown || s.ctx == siteIDs[e.Site] {
+				if s.ctx == ctxUnknown || s.ctx == e.SiteID {
 					push(e.To, ctxUnknown)
 				}
 			}
 		}
 	}
 	return gm
+}
+
+// CutSet is a set of dependence edges that resolution treats as replaced
+// by from → T (Opt II's Algorithm 1 rewiring). It marks the user-edge
+// slots of the cut edges, so dense resolution tests one bit per edge,
+// and keeps the (from, to) pairs sorted for the predicate form (Has).
+// Cutting a pair cuts every parallel dependence edge between the two
+// nodes, as a predicate over (from, to) would.
+type CutSet struct {
+	slots *bitset.Set
+	from  *bitset.Set
+	pairs []uint64 // to<<32 | from, sorted and unique
+}
+
+// NewCutSet builds the cut set of the given (from, to) node-id pairs over
+// a finished graph. Duplicate pairs are allowed.
+func NewCutSet(g *Graph, pairs [][2]int32) *CutSet {
+	cs := &CutSet{slots: bitset.New(len(g.users)), from: bitset.New(len(g.Nodes))}
+	cs.pairs = make([]uint64, len(pairs))
+	for i, p := range pairs {
+		cs.pairs[i] = uint64(uint32(p[1]))<<32 | uint64(uint32(p[0]))
+		cs.from.Add(int(p[0]))
+	}
+	slices.Sort(cs.pairs)
+	cs.pairs = slices.Compact(cs.pairs)
+	// Mark slots one target at a time: stamp the target's cut sources,
+	// then scan its users once.
+	stamp := make([]int32, len(g.Nodes))
+	for i := 0; i < len(cs.pairs); {
+		to := int32(cs.pairs[i] >> 32)
+		for ; i < len(cs.pairs) && int32(cs.pairs[i]>>32) == to; i++ {
+			stamp[uint32(cs.pairs[i])] = to + 1
+		}
+		base := g.userOff[to]
+		for k, e := range g.Nodes[to].Users {
+			if stamp[e.To.ID] == to+1 {
+				cs.slots.Add(int(base) + k)
+			}
+		}
+	}
+	return cs
+}
+
+// Len returns the number of distinct cut (from, to) pairs.
+func (cs *CutSet) Len() int { return len(cs.pairs) }
+
+// Has reports whether the dependence edge from → to is cut. It is the
+// predicate form of the set, for resolvers that take a Cut function.
+func (cs *CutSet) Has(from, to *Node) bool {
+	if !cs.from.Has(from.ID) {
+		return false
+	}
+	_, ok := slices.BinarySearch(cs.pairs, uint64(uint32(to.ID))<<32|uint64(uint32(from.ID)))
+	return ok
 }
 
 // CriticalUses lists the VFG nodes whose values are used at critical

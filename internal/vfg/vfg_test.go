@@ -86,13 +86,13 @@ int main() {
 	}
 	// And the chi must be classified strong.
 	found := false
-	for _, kind := range g.StoreUpdates {
+	for _, kind := range storeUpdates(g) {
 		if kind == vfg.UpdateStrong {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no strong update recorded: %v", g.StoreUpdates)
+		t.Errorf("no strong update recorded: %v", storeUpdates(g))
 	}
 }
 
@@ -117,13 +117,13 @@ int main(int c) {
 		t.Error("load after weak update over {a,b} must stay ⊥")
 	}
 	multi := false
-	for _, kind := range g.StoreUpdates {
+	for _, kind := range storeUpdates(g) {
 		if kind == vfg.UpdateWeakMulti {
 			multi = true
 		}
 	}
 	if !multi {
-		t.Errorf("store not classified weak-multi: %v", g.StoreUpdates)
+		t.Errorf("store not classified weak-multi: %v", storeUpdates(g))
 	}
 }
 
@@ -329,4 +329,19 @@ int main() {
 			}
 		}
 	}
+}
+
+// storeUpdates lists the update flavor of every store chi in g.
+func storeUpdates(g *vfg.Graph) []vfg.UpdateKind {
+	var kinds []vfg.UpdateKind
+	for _, fn := range g.Prog.Funcs {
+		if fm := g.Mem.Funcs[fn]; fm != nil {
+			for _, d := range fm.AllDefs {
+				if kind, ok := g.StoreUpdate(d); ok {
+					kinds = append(kinds, kind)
+				}
+			}
+		}
+	}
+	return kinds
 }

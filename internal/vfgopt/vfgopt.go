@@ -12,6 +12,7 @@
 package vfgopt
 
 import (
+	"github.com/valueflow/usher/internal/bitset"
 	"github.com/valueflow/usher/internal/cfg"
 	"github.com/valueflow/usher/internal/ir"
 	"github.com/valueflow/usher/internal/memssa"
@@ -101,20 +102,20 @@ func (m *MFC) Simplified() bool { return m.Interior > 1 || (m.Interior == 1 && l
 // using the returned Γ, so that all shadow values remain initialized
 // (line 9 of Algorithm 1).
 func RedundantCheckElim(g *vfg.Graph, gm *vfg.Gamma) (*vfg.Gamma, int) {
-	return RedundantCheckElimWith(g, gm, func(cut func(from, to *vfg.Node) bool) *vfg.Gamma {
-		return vfg.ResolveCut(g, cut)
+	return RedundantCheckElimWith(g, gm, func(cuts *vfg.CutSet) *vfg.Gamma {
+		return vfg.ResolveWith(g, vfg.ResolveOptions{Cuts: cuts})
 	})
 }
 
 // RedundantCheckElimWith is RedundantCheckElim with an injected
-// re-resolver: the pipeline passes the summary-based resolver (Opt IV)
-// when it is enabled, the dense vfg.ResolveCut otherwise. Both produce
-// bit-identical Γ under the same cut set.
+// re-resolver: the pipeline passes the summary-based resolver (Opt IV,
+// through CutSet.Has) when it is enabled, the dense vfg.ResolveWith
+// otherwise. Both produce bit-identical Γ under the same cut set.
 func RedundantCheckElimWith(g *vfg.Graph, gm *vfg.Gamma,
-	resolve func(cut func(from, to *vfg.Node) bool) *vfg.Gamma) (*vfg.Gamma, int) {
-	type edge struct{ from, to int }
-	cuts := make(map[edge]bool)
-	redirected := make(map[int]bool)
+	resolve func(cuts *vfg.CutSet) *vfg.Gamma) (*vfg.Gamma, int) {
+	var cuts [][2]int32
+	redirected := bitset.New(len(g.Nodes))
+	numRedirected := 0
 
 	// Dominator trees per function, built on demand.
 	doms := make(map[*ir.Function]*cfg.DomTree)
@@ -127,17 +128,30 @@ func RedundantCheckElimWith(g *vfg.Graph, gm *vfg.Gamma,
 		return d
 	}
 
+	// The extended closure of the current critical node: its node ids,
+	// and inClosure[id] == stamp for its members.
+	var closure []int32
+	inClosure := make([]int32, len(g.Nodes))
+	stamp := int32(0)
+	add := func(n *vfg.Node) {
+		if inClosure[n.ID] != stamp {
+			inClosure[n.ID] = stamp
+			closure = append(closure, int32(n.ID))
+		}
+	}
+
 	for node, stmts := range vfg.CriticalUses(g) {
 		if node.Kind != vfg.NodeReg || gm.Of(node) != vfg.Bottom {
 			continue
 		}
+		stamp++
+		closure = closure[:0]
 		m := ComputeMFC(node.Reg)
 		// The extended closure x̄: MFC registers plus the concrete
 		// address-taken versions read by the closure's loads (line 4).
-		closure := make(map[int]bool)
 		for _, r := range m.All {
 			if rn := g.RegNode(r); rn != nil {
-				closure[rn.ID] = true
+				add(rn)
 			}
 		}
 		for _, r := range m.All {
@@ -149,8 +163,8 @@ func RedundantCheckElimWith(g *vfg.Graph, gm *vfg.Gamma,
 				continue
 			}
 			for _, e := range ln.Deps {
-				if e.To.Kind == vfg.NodeMem && concreteVar(g, e.To.Mem.Var) {
-					closure[e.To.ID] = true
+				if e.To.Kind == vfg.NodeMem && vfg.ConcreteLocation(g.Pointer, e.To.Mem.Var) {
+					add(e.To)
 				}
 			}
 		}
@@ -158,11 +172,10 @@ func RedundantCheckElimWith(g *vfg.Graph, gm *vfg.Gamma,
 			dom := domOf(s.Parent().Fn)
 			// R_x: users r of the closure that are outside it, whose
 			// defining statement is dominated by s.
-			for tid := range closure {
-				t := g.Nodes[tid]
-				for _, ue := range t.Users {
+			for _, tid := range closure {
+				for _, ue := range g.Nodes[tid].Users {
 					r := ue.To
-					if closure[r.ID] {
+					if inClosure[r.ID] == stamp {
 						continue
 					}
 					rDef := defInstr(r)
@@ -172,8 +185,10 @@ func RedundantCheckElimWith(g *vfg.Graph, gm *vfg.Gamma,
 					if !dom.InstrDominates(s, rDef) {
 						continue
 					}
-					cuts[edge{r.ID, t.ID}] = true
-					redirected[r.ID] = true
+					cuts = append(cuts, [2]int32{int32(r.ID), tid})
+					if redirected.Add(r.ID) {
+						numRedirected++
+					}
 				}
 			}
 		}
@@ -181,10 +196,7 @@ func RedundantCheckElimWith(g *vfg.Graph, gm *vfg.Gamma,
 	if len(cuts) == 0 {
 		return gm, 0
 	}
-	newGamma := resolve(func(from, to *vfg.Node) bool {
-		return cuts[edge{from.ID, to.ID}]
-	})
-	return newGamma, len(redirected)
+	return resolve(vfg.NewCutSet(g, cuts)), numRedirected
 }
 
 // defInstr returns the IR instruction that defines a VFG node's value, if
@@ -199,19 +211,4 @@ func defInstr(n *vfg.Node) ir.Instr {
 		}
 	}
 	return nil
-}
-
-// concreteVar mirrors the graph's notion of a concrete location.
-func concreteVar(g *vfg.Graph, v memssa.MemVar) bool {
-	if v.Obj.Collapsed() && v.Obj.Size > 1 {
-		return false
-	}
-	switch v.Obj.Kind {
-	case ir.ObjGlobal:
-		return true
-	case ir.ObjStack:
-		return !g.Pointer.Recursive(v.Obj.Fn)
-	default:
-		return false
-	}
 }
